@@ -75,7 +75,7 @@ import numpy as np
 
 from repro.api.engine import SimulationEngine
 from repro.api.fluid_engine import FluidEngine
-from repro.api.scenario import Scenario, ScenarioGrid
+from repro.api.scenario import Scenario, ScenarioGrid, TraceSpec
 from repro.api.sinks import ResultsMismatchError, ResultSink
 from repro.metrics.summary import RunSummary
 from repro.policies.base import PolicySpec
@@ -317,12 +317,13 @@ def run_scenario(
     """
     config = scenario.resolved_config()
     if scenario.backend == "fluid":
-        # An explicit ``trace`` is used as-is (FluidEngine accepts a
-        # Trace, BinnedTrace or raw TraceBin sequence); only a TraceSpec
-        # carried by the scenario itself needs materialising here.
+        # FluidEngine accepts a Trace, BinnedTrace or raw TraceBin
+        # sequence.  A TraceSpec is binned here, together with an
+        # explicit ``trace`` built from it, so that the binned horizon
+        # ends at the spec's window whether or not the trace was shared.
         source = trace if trace is not None else scenario.trace
-        if trace is None and not isinstance(source, (Trace, BinnedTrace)):
-            source = scenario.build_bins()
+        if isinstance(scenario.trace, TraceSpec) and (trace is None or isinstance(trace, Trace)):
+            source = scenario.build_bins(trace=trace)
         engine = FluidEngine(
             scenario.policy_spec(),
             source,
@@ -331,7 +332,7 @@ def run_scenario(
             lean=lean,
             # A caller-supplied trace names itself; the scenario's key
             # would mislabel it.
-            trace_name=None if trace is not None else scenario.trace_key,
+            trace_name=scenario.trace_key if trace is None else getattr(trace, "name", None),
         )
         return engine.run()
     trace = trace if trace is not None else scenario.build_trace()
@@ -375,7 +376,6 @@ def _prepared(scenarios: Sequence[Scenario]) -> List[_Job]:
 
         if scenario.backend == "fluid":
             from repro.api.scenario import BINNED_TRACE_KINDS
-            from repro.workload.traces import bin_trace
 
             bins_key = (key, config.fluid_bin_s)
             if bins_key not in bins_cache:
@@ -389,7 +389,7 @@ def _prepared(scenarios: Sequence[Scenario]) -> List[_Job]:
                     # bin it — mixed-backend grids build it once.
                     if key not in traces:
                         traces[key] = scenario.build_trace()
-                    bins = bin_trace(traces[key], config.fluid_bin_s)
+                    bins = scenario.build_bins(config.fluid_bin_s, trace=traces[key])
                 bins_cache[bins_key] = (bins, scenario.trace_key)
             bins, trace_name = bins_cache[bins_key]
             scheme = config.scheme or DEFAULT_SCHEME

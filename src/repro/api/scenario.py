@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.llm.catalog import ModelSpec, get_model
 from repro.policies.base import PolicySpec, get_policy_spec
@@ -100,8 +100,13 @@ class TraceSpec:
         if self.kind == "one_hour":
             from repro.workload.synthetic import make_one_hour_trace
 
+            # Generation stops just past the window, so a short window
+            # costs O(window) rather than a full hour of requests.
             trace = make_one_hour_trace(
-                self.service, seed=self.seed, rate_scale=self.rate_scale
+                self.service,
+                seed=self.seed,
+                rate_scale=self.rate_scale,
+                until_s=self.duration_s,
             )
             if self.duration_s is not None and self.duration_s < trace.duration:
                 trace = trace.slice(0.0, self.duration_s)
@@ -134,12 +139,16 @@ class TraceSpec:
         generator = PoissonArrivalGenerator(seed=self.seed)
         return generator.generate(scaled, self.duration_s or 1800.0)
 
-    def build_bins(self, bin_seconds: float = 300.0) -> List[TraceBin]:
+    def build_bins(
+        self, bin_seconds: float = 300.0, trace: Optional[Trace] = None
+    ) -> List[TraceBin]:
         """Materialise the described trace in binned form (fluid backend).
 
-        Binned-only kinds (``week``) generate their bins directly; every
-        other kind builds the request-level trace and aggregates it into
-        ``bin_seconds``-wide bins.
+        Binned-only kinds (``week``) generate their bins directly, only
+        as far as ``duration_s`` needs; every other kind builds the
+        request-level trace (or takes ``trace``, an already built
+        :meth:`build`) and aggregates it into ``bin_seconds``-wide bins.
+        With ``duration_s`` set, the last bin ends at the window.
         """
         if self.kind == "week":
             from repro.workload.synthetic import make_week_trace
@@ -149,11 +158,16 @@ class TraceSpec:
                 seed=self.seed,
                 rate_scale=self.rate_scale,
                 bin_seconds=bin_seconds,
+                until_s=self.duration_s,
             )
             if self.duration_s is not None:
                 bins = _clip_bins(bins, self.duration_s)
             return bins
-        return bin_trace(self.build(), bin_seconds)
+        if trace is None:
+            trace = self.build()
+        # duration_s=0 builds the kind's default length (poisson), so
+        # only a positive window bounds the horizon.
+        return bin_trace(trace, bin_seconds, horizon=self.duration_s or None)
 
     @property
     def key(self) -> str:
@@ -321,12 +335,15 @@ class Scenario:
             )
         return self.trace if isinstance(self.trace, Trace) else self.trace.build()
 
-    def build_bins(self, bin_seconds: Optional[float] = None) -> List[TraceBin]:
+    def build_bins(
+        self, bin_seconds: Optional[float] = None, trace: Optional[Trace] = None
+    ) -> List[TraceBin]:
         """The binned trace the fluid backend simulates.
 
         Pre-binned traces pass through unchanged; request-level traces
         and specs are aggregated into ``bin_seconds``-wide bins
         (default: ``fluid_bin_s`` override, else the config's).
+        ``trace`` is the already built :meth:`build_trace`, to reuse.
         """
         if isinstance(self.trace, BinnedTrace):
             return self.trace.bins
@@ -336,7 +353,7 @@ class Scenario:
             bin_seconds = self.resolved_config().fluid_bin_s
         if isinstance(self.trace, Trace):
             return bin_trace(self.trace, bin_seconds)
-        return self.trace.build_bins(bin_seconds)
+        return self.trace.build_bins(bin_seconds, trace=trace)
 
     @property
     def trace_key(self) -> str:

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.sim.rng import RngStream
 from repro.workload.classification import classify_length
@@ -130,6 +132,11 @@ def get_service_profile(name: str) -> ServiceProfile:
         raise KeyError(f"unknown service {name!r}; known services: {known}") from None
 
 
+def _round_tokens(raw: np.ndarray, floor: int, cap: int) -> List[int]:
+    """Round sampled lengths half to even, as ``round`` does, then clip to [floor, cap]."""
+    return np.clip(np.rint(raw), floor, cap).astype(np.int64).tolist()
+
+
 @dataclass
 class SyntheticTraceGenerator:
     """Generates request-level or binned traces for a service profile."""
@@ -145,15 +152,16 @@ class SyntheticTraceGenerator:
     # ------------------------------------------------------------------
     # Length sampling
     # ------------------------------------------------------------------
-    def _sample_lengths(self, count: int, time_s: float) -> List[tuple]:
-        """Sample (input, output) token pairs.
+    def _sample_lengths(self, count: int, time_s: float) -> Tuple[List[int], List[int]]:
+        """Sample ``count`` input and output token lengths.
 
         The length mix drifts slowly over the day so the request-type
         distribution changes over time (as in Figure 1): afternoons see
-        slightly longer interactions than early mornings.
+        slightly longer interactions than early mornings.  Inputs are
+        clipped to [4, max_input_tokens], outputs to [2, max_output_tokens].
         """
         if count <= 0:
-            return []
+            return [], []
         hour = (time_s % SECONDS_PER_DAY) / SECONDS_PER_HOUR
         drift = 1.0 + 0.25 * math.sin(2.0 * math.pi * (hour - 6.0) / 24.0)
         rng = self._rng.generator
@@ -167,12 +175,10 @@ class SyntheticTraceGenerator:
             sigma=self.profile.output_sigma,
             size=count,
         )
-        pairs = []
-        for raw_in, raw_out in zip(inputs, outputs):
-            n_in = int(min(self.profile.max_input_tokens, max(4, round(raw_in))))
-            n_out = int(min(self.profile.max_output_tokens, max(2, round(raw_out))))
-            pairs.append((n_in, n_out))
-        return pairs
+        return (
+            _round_tokens(inputs, 4, self.profile.max_input_tokens),
+            _round_tokens(outputs, 2, self.profile.max_output_tokens),
+        )
 
     def _bin_rate(self, start: float, bin_seconds: float) -> float:
         """Expected arrivals in a bin starting at ``start``."""
@@ -190,11 +196,20 @@ class SyntheticTraceGenerator:
         start_offset_s: float = 0.0,
         bin_seconds: float = 10.0,
         slo_scale: float = 1.0,
+        until_s: Optional[float] = None,
     ) -> Trace:
         """Generate a request-level trace covering ``duration_s`` seconds.
 
         ``start_offset_s`` positions the window inside the week (e.g. a
         Tuesday afternoon peak hour), which sets the load level and mix.
+
+        ``until_s`` bounds the work to a leading window: generation stops
+        after the first bin that draws an arrival later than ``until_s``.
+        Bins are drawn in order from one stream, so the result is a
+        prefix of the full trace that holds every request arriving at or
+        before ``until_s``, and ends past ``until_s`` exactly when the
+        full trace does — clipping it gives the same trace as clipping
+        the full one.
         """
         requests: List[Request] = []
         rng = self._rng.generator
@@ -205,19 +220,20 @@ class SyntheticTraceGenerator:
             count = int(rng.poisson(expected))
             if count == 0:
                 continue
-            arrival_offsets = sorted(rng.uniform(0.0, bin_seconds, size=count))
-            for offset, (n_in, n_out) in zip(
-                arrival_offsets, self._sample_lengths(count, start_offset_s + bin_start)
-            ):
-                requests.append(
-                    Request(
-                        arrival_time=bin_start + float(offset),
-                        input_tokens=n_in,
-                        output_tokens=n_out,
-                        service=self.profile.name,
-                        slo_scale=slo_scale,
-                    )
+            arrivals = (bin_start + np.sort(rng.uniform(0.0, bin_seconds, size=count))).tolist()
+            inputs, outputs = self._sample_lengths(count, start_offset_s + bin_start)
+            requests.extend(
+                Request(
+                    arrival_time=arrival,
+                    input_tokens=n_in,
+                    output_tokens=n_out,
+                    service=self.profile.name,
+                    slo_scale=slo_scale,
                 )
+                for arrival, n_in, n_out in zip(arrivals, inputs, outputs)
+            )
+            if until_s is not None and arrivals[-1] > until_s:
+                break
         return Trace(name=f"{self.profile.name}-{duration_s / 3600.0:.0f}h", requests=requests)
 
     # ------------------------------------------------------------------
@@ -237,6 +253,8 @@ class SyntheticTraceGenerator:
         length pairs.  This is the input to the coarse (fluid) simulator
         used for the day/week experiments, mirroring the paper's
         discrete-time simulator for large-scale results (Section V-E).
+        Bins are drawn in order from one stream, so a shorter
+        ``duration_s`` gives a prefix of a longer one's bins.
         """
         bins: List[TraceBin] = []
         n_bins = int(math.ceil(duration_s / bin_seconds))
@@ -250,9 +268,9 @@ class SyntheticTraceGenerator:
             output_tokens = 0
             if count > 0:
                 sample_count = min(samples_per_bin, max(8, count))
-                samples = self._sample_lengths(sample_count, start_offset_s + bin_start)
-                per_sample_weight = count / len(samples)
-                for n_in, n_out in samples:
+                inputs, outputs = self._sample_lengths(sample_count, start_offset_s + bin_start)
+                per_sample_weight = count / sample_count
+                for n_in, n_out in zip(inputs, outputs):
                     type_name = classify_length(n_in, n_out).name
                     count_by_type[type_name] = count_by_type.get(type_name, 0) + 1
                     tokens_by_type[type_name] = (
@@ -291,16 +309,19 @@ def make_one_hour_trace(
     seed: int = 7,
     rate_scale: float = 1.0,
     slo_scale: float = 1.0,
+    until_s: Optional[float] = None,
 ) -> Trace:
     """A 1-hour request-level trace (stand-in for the open-source trace).
 
     The window is placed on Tuesday early afternoon, near the weekly
     peak, so that the hour contains both a ramp and a local dip.
+    ``until_s`` stops generation early (see
+    :meth:`SyntheticTraceGenerator.generate_requests`).
     """
     generator = SyntheticTraceGenerator(get_service_profile(service), seed=seed, rate_scale=rate_scale)
     start = SECONDS_PER_DAY + 12.5 * SECONDS_PER_HOUR  # Tuesday 12:30
     return generator.generate_requests(
-        duration_s=SECONDS_PER_HOUR, start_offset_s=start, slo_scale=slo_scale
+        duration_s=SECONDS_PER_HOUR, start_offset_s=start, slo_scale=slo_scale, until_s=until_s
     )
 
 
@@ -325,7 +346,18 @@ def make_week_trace(
     seed: int = 7,
     rate_scale: float = 1.0,
     bin_seconds: float = 300.0,
+    until_s: Optional[float] = None,
 ) -> List[TraceBin]:
-    """A week-long binned trace starting Monday 00:00 (for fluid runs)."""
+    """A week-long binned trace starting Monday 00:00 (for fluid runs).
+
+    ``until_s`` stops generation early: the result is the week's first
+    bins, up to one bin past the one holding ``until_s``.
+    """
     generator = SyntheticTraceGenerator(get_service_profile(service), seed=seed, rate_scale=rate_scale)
-    return generator.generate_bins(duration_s=SECONDS_PER_WEEK, bin_seconds=bin_seconds)
+    # One bin of slack: the bin count is a ceil of a float quotient, which
+    # can fall one short of the bins starting before ``until_s`` (say
+    # until_s=5e-324, where until_s / bin_seconds underflows to 0).
+    duration_s = (
+        SECONDS_PER_WEEK if until_s is None else min(SECONDS_PER_WEEK, until_s + bin_seconds)
+    )
+    return generator.generate_bins(duration_s=duration_s, bin_seconds=bin_seconds)

@@ -181,13 +181,25 @@ class BinnedTrace:
 def bin_trace(trace: Trace, bin_seconds: float, horizon: Optional[float] = None) -> List[TraceBin]:
     """Aggregate a trace into fixed-duration bins.
 
-    ``horizon`` extends (or truncates) the binned period; by default the
-    bins cover the full trace duration.
+    The bins cover the full trace duration.  ``horizon`` ends them early:
+    bins past it are dropped and the one holding it is cut short to end
+    exactly there, its aggregates left as they are (the trace should
+    already be clipped to the horizon).  A horizon at or past the end of
+    the last bin changes nothing.
     """
     if bin_seconds <= 0:
         raise ValueError("bin_seconds must be positive")
-    span = horizon if horizon is not None else trace.duration
+    if horizon is not None and horizon <= 0:
+        raise ValueError("horizon must be positive")
+    span = trace.duration
     n_bins = max(1, int(span // bin_seconds) + (1 if span % bin_seconds else 0))
+    last_duration = bin_seconds
+    if horizon is not None and horizon < n_bins * bin_seconds:
+        # Keep the bins that start before the horizon, comparing the same
+        # floats as the bin starts (a ceil of horizon / bin_seconds can be
+        # one off), so the cut bin's duration is always positive.
+        n_bins = next(i for i in range(1, n_bins + 1) if i * bin_seconds >= horizon)
+        last_duration = horizon - (n_bins - 1) * bin_seconds
     bins = [
         TraceBin(
             start_time=i * bin_seconds,
@@ -200,6 +212,7 @@ def bin_trace(trace: Trace, bin_seconds: float, horizon: Optional[float] = None)
         )
         for i in range(n_bins)
     ]
+    bins[-1].duration = last_duration
     for request in trace.requests:
         index = int(request.arrival_time // bin_seconds)
         if index >= n_bins:
